@@ -17,6 +17,10 @@ go build ./...
 # -shuffle=on randomizes test order so inter-test state dependencies
 # (shared registries, leaked globals) fail loudly instead of by luck.
 go test -race -shuffle=on ./...
+# Host-shape gate: the engine and root packages again at GOMAXPROCS 1, 2
+# and 4, so a test whose outcome depends on the CPU count fails on every
+# host instead of only on the ones whose shape happens to expose it.
+go test -cpu 1,2,4 ./internal/engine/ .
 # Benchmark smoke: one iteration of every benchmark, so a broken or
 # crashing benchmark fails CI even though nothing is being measured.
 go test -bench=. -benchtime=1x -run='^$' ./...
@@ -33,10 +37,27 @@ go test -run='^$' -fuzz=FuzzNewWindowFromParts -fuzztime="$FUZZTIME" ./internal/
 go test -run='^$' -fuzz=FuzzCheckpointDecode -fuzztime="$FUZZTIME" ./internal/engine/
 go test -run='^$' -fuzz=FuzzParseTenantSpec -fuzztime="$FUZZTIME" ./internal/serve/
 go test -run='^$' -fuzz=FuzzManifestDecode -fuzztime="$FUZZTIME" ./internal/ckptstore/
+go test -run='^$' -fuzz=FuzzQueryResponseDecode -fuzztime="$FUZZTIME" ./internal/httpfront/
 # Metrics smoke: a snapshot written by megasim must round-trip through
 # its own validator — required families present, every audit passed.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
+# wait_addr FILE PID LOG WHAT: poll until megaserve (PID) writes its
+# listen address to FILE; after 10s, report WHAT, dump LOG, kill PID and
+# fail.
+wait_addr() {
+	i=0
+	while [ ! -s "$1" ]; do
+		i=$((i + 1))
+		if [ "$i" -gt 100 ]; then
+			echo "$4 never wrote its addr file" >&2
+			cat "$3" >&2
+			kill "$2" 2>/dev/null || true
+			exit 1
+		fi
+		sleep 0.1
+	done
+}
 go run ./cmd/megasim -snapshots 4 -metrics "$tmpdir/metrics.json" >/dev/null
 go run ./cmd/megasim -verify-metrics "$tmpdir/metrics.json"
 # Invariant-audit sweep with strict mode forced on.
@@ -75,17 +96,7 @@ go build -o "$tmpdir/megaserve" ./cmd/megaserve
 "$tmpdir/megaserve" -listen 127.0.0.1:0 -addr-file "$tmpdir/addr" \
 	-snapshots 4 >/dev/null 2>"$tmpdir/serve.log" &
 serve_pid=$!
-i=0
-while [ ! -s "$tmpdir/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "megaserve never wrote its addr file" >&2
-		cat "$tmpdir/serve.log" >&2
-		kill "$serve_pid" 2>/dev/null || true
-		exit 1
-	fi
-	sleep 0.1
-done
+wait_addr "$tmpdir/addr" "$serve_pid" "$tmpdir/serve.log" megaserve
 addr="$(cat "$tmpdir/addr")"
 # Cross-query sharing smoke: the same query twice — the first is a real
 # engine run, the second must be answered from the result cache (the
@@ -134,17 +145,7 @@ grep -q '^resumed:' "$tmpdir/resume.out"
 	-snapshots 4 -checkpoint-every 1 -allow-faults \
 	-state-dir "$tmpdir/srvstate" >/dev/null 2>"$tmpdir/serve2.log" &
 serve_pid=$!
-i=0
-while [ ! -s "$tmpdir/addr2" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "megaserve (state-dir) never wrote its addr file" >&2
-		cat "$tmpdir/serve2.log" >&2
-		kill "$serve_pid" 2>/dev/null || true
-		exit 1
-	fi
-	sleep 0.1
-done
+wait_addr "$tmpdir/addr2" "$serve_pid" "$tmpdir/serve2.log" "megaserve (state-dir)"
 addr="$(cat "$tmpdir/addr2")"
 ("$tmpdir/megaserve" -server "http://$addr" -algo SSSP -source 0 \
 	-fault 'engine.round:latency=250ms@6x1' >/dev/null 2>&1 || true) &
@@ -166,17 +167,7 @@ MEGA_CHAOS=1 "$tmpdir/megaserve" -listen 127.0.0.1:0 -addr-file "$tmpdir/addr2" 
 	-snapshots 4 -checkpoint-every 1 \
 	-state-dir "$tmpdir/srvstate" >/dev/null 2>"$tmpdir/serve3.log" &
 serve_pid=$!
-i=0
-while [ ! -s "$tmpdir/addr2" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "restarted megaserve never wrote its addr file" >&2
-		cat "$tmpdir/serve3.log" >&2
-		kill "$serve_pid" 2>/dev/null || true
-		exit 1
-	fi
-	sleep 0.1
-done
+wait_addr "$tmpdir/addr2" "$serve_pid" "$tmpdir/serve3.log" "restarted megaserve"
 addr="$(cat "$tmpdir/addr2")"
 grep -q 'recovered 1 orphaned' "$tmpdir/serve3.log"
 i=0

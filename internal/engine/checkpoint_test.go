@@ -223,11 +223,18 @@ func TestCrashEquivalenceCrossEngine(t *testing.T) {
 	})
 
 	t.Run("sequential-to-parallel", func(t *testing.T) {
-		// Round boundaries align across engines, so the parallel baseline's
-		// round count sizes the sequential kill too.
-		rounds := counter.Visits(fault.SiteParallelRound, fault.AnyShard)
-		if rounds == 0 {
-			t.Fatal("baseline visited no round boundaries")
+		// Round counts differ across engines (and the parallel engine's
+		// with GOMAXPROCS), so the sequential kill is sized from a
+		// sequential baseline with its own counter plan.
+		seqCounter := fault.NewPlan(1)
+		seqBase := newEngine(t, w, a, false)
+		if err := seqBase.RunContext(fault.Inject(context.Background(), seqCounter), s, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "sequential baseline", collectSnapshots(seqBase, s, w.NumSnapshots()), want)
+		rounds := seqCounter.Visits(fault.SiteEngineRound, fault.AnyShard)
+		if rounds < 2 {
+			t.Fatalf("sequential baseline visited %d round boundaries; too few to kill mid-run", rounds)
 		}
 		plan := fault.NewPlan(1).Add(fault.Op{
 			Site: fault.SiteEngineRound, Shard: fault.AnyShard,

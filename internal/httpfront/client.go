@@ -26,6 +26,7 @@ const (
 	defaultBaseBackoff = 100 * time.Millisecond
 	defaultMaxBackoff  = 5 * time.Second
 	maxErrorBodyBytes  = 1 << 20
+	maxQueryBodyBytes  = 1 << 30
 )
 
 // ClientConfig parameterizes a Client. Only BaseURL is required.
@@ -233,21 +234,31 @@ func (c *Client) queryOnce(ctx context.Context, body []byte, tenant, reqID strin
 	}()
 
 	if resp.StatusCode == http.StatusOK {
-		var qr queryResponse
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<30)).Decode(&qr); derr != nil {
-			return nil, false, megaerr.Invalidf("httpfront: bad response body: %v", derr)
+		raw, rerr := readQueryBody(resp)
+		if rerr != nil {
+			return nil, false, megaerr.Invalidf("httpfront: bad response body: %v", rerr)
 		}
-		vals, derr := decodeValues(qr.ValuesB64)
-		if derr != nil {
-			return nil, false, derr
+		res, perr := parseQueryResponse(raw)
+		if perr != nil {
+			return nil, false, perr
 		}
-		return &QueryResult{Values: vals, Report: qr.Report, RequestID: qr.RequestID}, false, nil
+		return res, false, nil
 	}
 
 	rerr := c.decodeHTTPError(resp)
 	retryable := resp.StatusCode == http.StatusTooManyRequests ||
 		resp.StatusCode == http.StatusServiceUnavailable
 	return nil, retryable, rerr
+}
+
+// readQueryBody reads a success body whole. A body that declares, or
+// turns out to carry, more than maxQueryBodyBytes is refused: the first
+// up front, the second by the limit cutting it short of a valid layout.
+func readQueryBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > maxQueryBodyBytes {
+		return nil, fmt.Errorf("%d bytes exceeds the %d-byte limit", n, maxQueryBodyBytes)
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxQueryBodyBytes))
 }
 
 // decodeHTTPError turns a non-2xx response into its typed error,

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -497,5 +498,50 @@ func TestClientJitterSeedsDecorrelated(t *testing.T) {
 	}
 	if same {
 		t.Fatal("two clients drew 8 identical jitters — the RNG seeds are correlated")
+	}
+}
+
+// TestClientReadsSuccessBodyFraming covers both ways a success body can
+// be framed — a declared Content-Length, which the server always sends,
+// and chunked transfer without one — plus a declared length past the
+// client's limit, refused as invalid before any of it is read.
+func TestClientReadsSuccessBodyFraming(t *testing.T) {
+	defer testutil.NoGoroutineLeak(t)
+	vals := [][]float64{{1, math.Inf(1)}, {}, {math.Copysign(0, -1)}}
+	body := appendQueryResponse(nil, vals, Report{Engine: "sequential", Attempts: 1}, "r-1")
+	handlers := map[string]http.HandlerFunc{
+		"content-length": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+		},
+		"chunked": func(w http.ResponseWriter, r *http.Request) {
+			w.Write(body[:len(body)/2])
+			w.(http.Flusher).Flush()
+			w.Write(body[len(body)/2:])
+		},
+	}
+	for name, h := range handlers {
+		ts := httptest.NewServer(h)
+		c, _ := newTestClient(t, ts.URL, nil)
+		res, err := c.Query(context.Background(), QuerySpec{Algo: "BFS"})
+		if err != nil {
+			t.Fatalf("%s: Query = %v", name, err)
+		}
+		requireSameBits(t, res.Values, vals)
+		if res.RequestID != "r-1" || res.Report.Engine != "sequential" {
+			t.Errorf("%s: result = %+v", name, res)
+		}
+		c.Close()
+		ts.Close()
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxQueryBodyBytes+1))
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+	c, _ := newTestClient(t, ts.URL, nil)
+	if _, err := c.Query(context.Background(), QuerySpec{Algo: "BFS"}); !errors.Is(err, megaerr.ErrInvalidInput) {
+		t.Errorf("oversized Content-Length: Query = %v, want ErrInvalidInput", err)
 	}
 }

@@ -341,12 +341,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Snapshots: len(res.Values),
-		ValuesB64: encodeValues(res.Values),
-		Report:    reportFromServe(res.Report),
-		RequestID: requestIDFrom(r.Context()),
-	})
+	out := appendQueryResponse(nil, res.Values, reportFromServe(res.Report), requestIDFrom(r.Context()))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(out) // nothing to do about a write error at this point
 }
 
 // tenantFromHeader reads and validates the X-Mega-Tenant header. An

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -535,6 +536,37 @@ func TestRequestIDPropagation(t *testing.T) {
 	if gotLabel.Load() != "caller-7" {
 		t.Errorf("service label = %q, want caller-7", gotLabel.Load())
 	}
+}
+
+// TestQueryLargeResponseOneWrite: a PK-window-sized answer goes out in
+// one write with its Content-Length rather than chunked, and
+// encoding/json reads the body back to the served bits.
+func TestQueryLargeResponseOneWrite(t *testing.T) {
+	defer testutil.NoGoroutineLeak(t)
+	want := pkValues()
+	run := func(ctx context.Context, req *serve.Request, parallel bool) ([][]float64, serve.RunReport, error) {
+		return want, serve.RunReport{Attempts: 1}, nil
+	}
+	_, ts := newTestFront(t, run, nil, nil)
+	status, hdr, raw := postQuery(t, ts, QuerySpec{Algo: "BFS"})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, body %.200s", status, raw)
+	}
+	if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(raw)) {
+		t.Errorf("Content-Length = %q, want %d", cl, len(raw))
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(raw, &qr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeValues(qr.ValuesB64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qr.Snapshots != len(want) {
+		t.Errorf("snapshots = %d, want %d", qr.Snapshots, len(want))
+	}
+	requireSameBits(t, got, want)
 }
 
 func TestFaultInjectionGate(t *testing.T) {

@@ -31,6 +31,7 @@
 package httpfront
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/binary"
@@ -38,6 +39,8 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"slices"
+	"strconv"
 	"time"
 
 	"mega/internal/megaerr"
@@ -160,14 +163,6 @@ func reportFromServe(r serve.Report) Report {
 	}
 }
 
-// queryResponse is the JSON body of a successful POST /v1/query.
-type queryResponse struct {
-	Snapshots int      `json:"snapshots"`
-	ValuesB64 []string `json:"values_b64"`
-	Report    Report   `json:"report"`
-	RequestID string   `json:"request_id,omitempty"`
-}
-
 // QueryResult is a successful remote query as the Client returns it:
 // values decoded back to float64 (bit-identical to the server's), the
 // execution report, and the request ID for correlation.
@@ -190,39 +185,261 @@ type healthReply struct {
 	State string `json:"state,omitempty"`
 }
 
-// encodeValues packs each snapshot's values as base64 little-endian
-// Float64bits — exact for every float64 including ±Inf and NaN.
-func encodeValues(vals [][]float64) []string {
-	out := make([]string, len(vals))
-	for i, snap := range vals {
-		buf := make([]byte, 8*len(snap))
-		for j, v := range snap {
-			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		out[i] = base64.StdEncoding.EncodeToString(buf)
+// The success body of POST /v1/query is the one response large enough
+// for encoding/json to dominate it: a PK window answer is 16 snapshots ×
+// 3200 float64s, a half-megabyte body, and on a cache hit the front door
+// would spend nearly all its time reflecting over and scanning base64.
+// appendQueryResponse and parseQueryResponse write and read that body
+// directly. The bytes are exactly what json.Encoder writes for
+//
+//	struct {
+//		Snapshots int      `json:"snapshots"`
+//		ValuesB64 []string `json:"values_b64"`
+//		Report    Report   `json:"report"`
+//		RequestID string   `json:"request_id,omitempty"`
+//	}
+//
+// (values_b64 holds one base64 string per snapshot, never null; a
+// trailing newline follows), and that layout is the only one the client
+// accepts.
+const (
+	respSnapshotsKey = `{"snapshots":`
+	respValuesKey    = `,"values_b64":[`
+	respReportKey    = `,"report":`
+	respRequestIDKey = `,"request_id":`
+)
+
+// valueChunk is how many float64s the codec moves through base64 per
+// step: 3072 bytes, a multiple of both 8 (whole float64s) and 3 (whole
+// base64 quanta), so chunk encodings concatenate without interior
+// padding and no per-snapshot scratch buffer is needed.
+const valueChunk = 384
+
+// b64Chunk is the base64 length of one full chunk.
+const b64Chunk = 8 * valueChunk / 3 * 4
+
+// appendQueryResponse appends the success body for values, rep and
+// requestID to dst. Each snapshot is base64 over its little-endian
+// Float64bits — exact for every float64, including the ±Inf identities
+// and NaN payloads JSON numbers cannot carry.
+func appendQueryResponse(dst []byte, values [][]float64, rep Report, requestID string) []byte {
+	// The report and the request-id string go through encoding/json so
+	// their escaping (HTML-safe, invalid UTF-8 replaced) stays identical.
+	// Neither can fail: both are plain strings, bools, ints and Durations.
+	rb, _ := json.Marshal(rep)
+	var ib []byte
+	if requestID != "" {
+		ib, _ = json.Marshal(requestID)
 	}
-	return out
+	n := len(respSnapshotsKey) + 20 + len(respValuesKey) + 1 + len(respReportKey) + len(rb) +
+		len(respRequestIDKey) + len(ib) + 2
+	for _, snap := range values {
+		n += base64.StdEncoding.EncodedLen(8*len(snap)) + 3
+	}
+	dst = slices.Grow(dst, n)
+
+	dst = append(dst, respSnapshotsKey...)
+	dst = strconv.AppendInt(dst, int64(len(values)), 10)
+	dst = append(dst, respValuesKey...)
+	var chunk [8 * valueChunk]byte
+	for i, snap := range values {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '"')
+		for len(snap) > 0 {
+			k := min(len(snap), valueChunk)
+			for j, v := range snap[:k] {
+				binary.LittleEndian.PutUint64(chunk[8*j:], math.Float64bits(v))
+			}
+			dst = base64.StdEncoding.AppendEncode(dst, chunk[:8*k])
+			snap = snap[k:]
+		}
+		dst = append(dst, '"')
+	}
+	dst = append(dst, ']')
+	dst = append(dst, respReportKey...)
+	dst = append(dst, rb...)
+	if len(ib) > 0 {
+		dst = append(dst, respRequestIDKey...)
+		dst = append(dst, ib...)
+	}
+	return append(dst, '}', '\n')
 }
 
-// decodeValues is encodeValues's inverse; malformed input is an
-// ErrInvalidInput error.
-func decodeValues(b64 []string) ([][]float64, error) {
-	out := make([][]float64, len(b64))
-	for i, s := range b64 {
-		buf, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return nil, megaerr.Invalidf("httpfront: snapshot %d values do not decode: %v", i, err)
-		}
-		if len(buf)%8 != 0 {
-			return nil, megaerr.Invalidf("httpfront: snapshot %d values are %d bytes, not a float64 array", i, len(buf))
-		}
-		snap := make([]float64, len(buf)/8)
-		for j := range snap {
-			snap[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-		}
-		out[i] = snap
+// parseQueryResponse is appendQueryResponse's inverse. It walks the fixed
+// layout by hand, base64-decodes each snapshot straight into its float64
+// slice, and hands only the small report/request-id tail to
+// encoding/json, then holds that tail to the layout too (checkTail).
+// Anything outside the layout — a snapshot count that disagrees with the
+// arrays, a non-string element, bad base64, a length that is not whole
+// float64s, stray whitespace, an extra or repeated key, truncation — is
+// an ErrInvalidInput error.
+func parseQueryResponse(body []byte) (*QueryResult, error) {
+	rest, ok := bytes.CutPrefix(body, []byte(respSnapshotsKey))
+	if !ok {
+		return nil, badResponse("does not open with %s", respSnapshotsKey)
 	}
-	return out, nil
+	n, rest, err := cutCount(rest)
+	if err != nil {
+		return nil, err
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(respValuesKey)); !ok {
+		return nil, badResponse("snapshot count not followed by %s", respValuesKey)
+	}
+	// Every element takes at least three bytes (two quotes and a
+	// separator), which bounds an honest count before it sizes anything.
+	if n > len(rest)/3+1 {
+		return nil, badResponse("claims %d snapshots in %d bytes", n, len(rest))
+	}
+	values := make([][]float64, 0, n)
+	if len(rest) > 0 && rest[0] == ']' {
+		rest = rest[1:]
+	} else {
+		for {
+			if len(values) == n {
+				return nil, badResponse("claims %d snapshots but carries more", n)
+			}
+			var snap []float64
+			if snap, rest, err = cutSnapshot(rest, len(values)); err != nil {
+				return nil, err
+			}
+			values = append(values, snap)
+			if len(rest) == 0 {
+				return nil, badResponse("truncated after snapshot %d", len(values)-1)
+			}
+			sep := rest[0]
+			rest = rest[1:]
+			if sep == ']' {
+				break
+			}
+			if sep != ',' {
+				return nil, badResponse("unexpected %q after snapshot %d", sep, len(values)-1)
+			}
+		}
+	}
+	if len(values) != n {
+		return nil, badResponse("claims %d snapshots but carries %d", n, len(values))
+	}
+	if !bytes.HasPrefix(rest, []byte(respReportKey)) {
+		return nil, badResponse("values not followed by %s", respReportKey)
+	}
+	// The tail is the rest of the object: reopen it in place of the comma.
+	tail := append([]byte{'{'}, rest[1:]...)
+	var t struct {
+		Report    Report `json:"report"`
+		RequestID string `json:"request_id"`
+	}
+	if err := json.Unmarshal(tail, &t); err != nil {
+		return nil, badResponse("%v", err)
+	}
+	if err := checkTail(rest[len(respReportKey):], t.Report, t.RequestID); err != nil {
+		return nil, err
+	}
+	return &QueryResult{Values: values, Report: t.Report, RequestID: t.RequestID}, nil
+}
+
+// checkTail holds the tail to the encoder's layout, which json.Unmarshal
+// does not: it accepts whitespace and unknown, reordered or duplicate
+// keys. b, everything after `"report":`, must be the report exactly as
+// json.Marshal renders rep, then — only when id is non-empty — the
+// request-id key and a single JSON string holding id, then "}\n".
+func checkTail(b []byte, rep Report, id string) error {
+	rb, _ := json.Marshal(rep)
+	b, ok := bytes.CutPrefix(b, rb)
+	if !ok {
+		return badResponse("report is not laid out as %s", rb)
+	}
+	if id != "" {
+		// The id string is not compared with json.Marshal(id): the
+		// encoder writes invalid UTF-8 as \ufffd, which decodes to a
+		// rune that re-marshals raw.
+		s, ok := bytes.CutPrefix(b, []byte(respRequestIDKey))
+		if !ok {
+			return badResponse("report not followed by %s", respRequestIDKey)
+		}
+		if s, ok = bytes.CutSuffix(s, []byte("}\n")); !ok {
+			return badResponse("request id not followed by a closing brace and newline")
+		}
+		if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' || json.Unmarshal(s, new(string)) != nil {
+			return badResponse("request id is not one JSON string")
+		}
+		return nil
+	}
+	if string(b) != "}\n" {
+		return badResponse("unexpected %.40q after the report", b)
+	}
+	return nil
+}
+
+func badResponse(format string, args ...any) error {
+	return megaerr.Invalidf("httpfront: bad response body: "+format, args...)
+}
+
+// cutCount parses the snapshot count at the front of b: a non-negative
+// JSON integer, no leading zeros, no larger than b is long.
+func cutCount(b []byte) (int, []byte, error) {
+	i, n := 0, 0
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		if i == 1 && b[0] == '0' {
+			return 0, nil, badResponse("snapshot count has a leading zero")
+		}
+		n = 10*n + int(b[i]-'0')
+		if n > len(b) {
+			return 0, nil, badResponse("snapshot count %s... exceeds the body", b[:i+1])
+		}
+		i++
+	}
+	if i == 0 {
+		return 0, nil, badResponse("snapshot count is not a non-negative integer")
+	}
+	return n, b[i:], nil
+}
+
+// cutSnapshot decodes the base64 string at the front of b as snapshot i
+// and returns the bytes after its closing quote.
+func cutSnapshot(b []byte, i int) ([]float64, []byte, error) {
+	if len(b) == 0 || b[0] != '"' {
+		return nil, nil, badResponse("snapshot %d is not a string", i)
+	}
+	end := bytes.IndexByte(b[1:], '"')
+	if end < 0 {
+		return nil, nil, badResponse("snapshot %d string is unterminated", i)
+	}
+	s := b[1 : 1+end]
+	if len(s)%4 != 0 {
+		return nil, nil, megaerr.Invalidf("httpfront: snapshot %d values do not decode: %d base64 characters", i, len(s))
+	}
+	size := len(s) / 4 * 3
+	if len(s) > 0 && s[len(s)-1] == '=' {
+		size--
+		if s[len(s)-2] == '=' {
+			size--
+		}
+	}
+	if size%8 != 0 {
+		return nil, nil, megaerr.Invalidf("httpfront: snapshot %d values are %d bytes, not a float64 array", i, size)
+	}
+	snap := make([]float64, size/8)
+	var chunk [8 * valueChunk]byte
+	for j := 0; j < len(snap); j += valueChunk {
+		k := min(len(snap)-j, valueChunk)
+		enc := s[:min(len(s), b64Chunk)]
+		m, err := base64.StdEncoding.Decode(chunk[:], enc)
+		if err != nil {
+			return nil, nil, megaerr.Invalidf("httpfront: snapshot %d values do not decode: %v", i, err)
+		}
+		if m != 8*k {
+			// The decoder skipped characters (it ignores CR and LF) or met
+			// padding early: not this layout.
+			return nil, nil, megaerr.Invalidf("httpfront: snapshot %d values do not decode: %d bytes in a %d-byte chunk", i, m, 8*k)
+		}
+		for x := range snap[j : j+k] {
+			snap[j+x] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*x:]))
+		}
+		s = s[len(enc):]
+	}
+	return snap, b[2+end:], nil
 }
 
 // Error kinds: the wire-level error taxonomy. The kind, not the status

@@ -333,6 +333,11 @@ func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.C
 		fl.leaderGone = true
 		fl.refs--
 		last := fl.refs == 0
+		if last {
+			// The run is about to be canceled: a query arriving while it
+			// unwinds must lead a fresh flight, not inherit the cancellation.
+			s.unmapFlightLocked(fl)
+		}
 		s.mu.Unlock()
 		if last {
 			rcancel()
@@ -422,6 +427,10 @@ func (s *Service) awaitFlight(ctx context.Context, req *Request, fl *flight, idx
 		s.mu.Lock()
 		fl.refs--
 		last := fl.refs == 0 && fl.cancel != nil
+		if last {
+			// As in leadFlight: no new joiner may inherit the cancellation.
+			s.unmapFlightLocked(fl)
+		}
 		cancel := fl.cancel
 		t := s.tenantLocked(req.Tenant)
 		s.admitted++

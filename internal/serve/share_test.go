@@ -369,6 +369,64 @@ func TestShareLastParticipantCancelStopsRun(t *testing.T) {
 	}
 }
 
+// TestShareArrivalAfterLastDepartureRunsFresh: once every participant
+// has left a flight its run is canceled, so an identical query arriving
+// while that run still unwinds must lead a fresh run rather than join
+// the dying flight and inherit a cancellation it never asked for.
+func TestShareArrivalAfterLastDepartureRunsFresh(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	unwound := make(chan struct{})
+	release := make(chan struct{})
+	var calls atomic.Int64
+	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+		if calls.Add(1) > 1 {
+			return [][]float64{{0}}, RunReport{Attempts: 1}, nil
+		}
+		// The first run outlives its cancellation until released: the
+		// window in which a late arrival could find the flight still mapped.
+		<-ctx.Done()
+		close(unwound)
+		<-release
+		return nil, RunReport{Attempts: 1}, megaerr.Canceled("stub run", ctx.Err())
+	}
+	s, err := New(Config{Run: run, Capacity: 2, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Window: shareWindow(t), Algo: algo.SSSP, Source: 0}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, req)
+		done <- err
+	}()
+	waitFor(t, "the first run to start", func() bool { return calls.Load() == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, megaerr.ErrCanceled) {
+		t.Fatalf("canceled leader = %v, want ErrCanceled", err)
+	}
+	<-unwound
+
+	late := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), req)
+		late <- err
+	}()
+	waitFor(t, "the late query to resolve or join", func() bool {
+		return len(late) == 1 || s.Stats().CoalescedQueries > 0
+	})
+	close(release)
+	if err := <-late; err != nil {
+		t.Fatalf("query arriving after the last participant left = %v, want success", err)
+	}
+	mustClose(t, s)
+	st := s.Stats()
+	if st.CoalescedQueries != 0 || st.EngineRuns != 2 || st.Completed != 1 || st.Canceled != 1 {
+		t.Errorf("stats = %+v, want 2 engine runs, 1 completed, 1 canceled, no coalescing", st)
+	}
+}
+
 // TestShareBatchedMultiSource proves the batching contract: concurrent
 // same-window, same-algo queries with different sources execute as ONE
 // multi-source engine run, each caller receiving its own source's values.

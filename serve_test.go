@@ -126,17 +126,18 @@ func TestQueryServiceOverloadContract(t *testing.T) {
 	frozen := mega.WithFaultPlan(context.Background(), mega.NewFaultPlan(1).Add(op))
 	var wg sync.WaitGroup
 	wg.Add(2)
-	started := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		close(started)
 		// Ends when Close's straggler cancellation fires.
 		_, err := s.Submit(frozen, mega.QueryRequest{Window: w, Algo: mega.SSSP, Source: 0})
 		if !errors.Is(err, mega.ErrCanceled) {
 			t.Errorf("frozen query = %v, want ErrCanceled from the drain", err)
 		}
 	}()
-	<-started
+	// The frozen query must own the slot before the second one arrives;
+	// with more than one P the two would otherwise race for it, and the
+	// plain query could take the slot and simply complete.
+	waitStats(t, s, func(st mega.QueryServiceStats) bool { return st.Running == 1 })
 	go func() {
 		defer wg.Done()
 		_, err := s.Submit(context.Background(), mega.QueryRequest{Window: w, Algo: mega.SSSP, Source: 0})
